@@ -1,7 +1,12 @@
 //! Criterion micro-benchmarks of the computational kernels every index is
-//! built on: distance computation, summarization and quantization.
+//! built on: distance computation, summarization, quantization and the
+//! storage layer's buffer-pool bookkeeping.
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use hydra::storage::buffer::Frame;
+use hydra::storage::BufferPool;
 use hydra::summarize::apca::{segment_stats, uniform_segments, Segment};
 use hydra::summarize::quantization::{KMeans, ProductQuantizer, ScalarQuantizer};
 use hydra::summarize::sax::{normal_breakpoints, sax_word, SaxParams};
@@ -162,11 +167,58 @@ fn bench_quantization(c: &mut Criterion) {
     group.finish();
 }
 
+/// Buffer-pool bookkeeping per page access on the frame-caching path a
+/// file-backed store takes, at a 31-page pool (the `disk-ooc` pool of
+/// `rand256`). Frames are shared handles to one 64 KiB page, so only the
+/// pool's own work is timed: recency update, page lookup, victim choice.
+fn bench_buffer_pool(c: &mut Criterion) {
+    const POOL_PAGES: u64 = 31;
+    let page: Arc<[f32]> = vec![0.5f32; 16 * 1024].into();
+    let filled = |pages: u64| {
+        let mut pool = BufferPool::new(POOL_PAGES as usize);
+        for p in 0..pages {
+            pool.install(p, Frame::Raw(Arc::clone(&page)));
+        }
+        pool
+    };
+    let mut group = c.benchmark_group("buffer-pool");
+    group.sample_size(30);
+    let mut pool = filled(POOL_PAGES);
+    group.bench_function("hit-mru-31", |bench| {
+        bench.iter(|| std::hint::black_box(pool.fetch(POOL_PAGES - 1).is_some()))
+    });
+    // Round-robin over the resident pages: every access hits the least
+    // recently used page and moves it to the head.
+    let mut pool = filled(POOL_PAGES);
+    let mut next = 0u64;
+    group.bench_function("hit-lru-31", |bench| {
+        bench.iter(|| {
+            next = (next + 1) % POOL_PAGES;
+            std::hint::black_box(pool.fetch(next).is_some())
+        })
+    });
+    // Round-robin over one page more than fits: every access misses and
+    // its install evicts the least recently used page.
+    let mut pool = filled(POOL_PAGES);
+    let mut next = POOL_PAGES - 1;
+    group.bench_function("miss-evict-31", |bench| {
+        bench.iter(|| {
+            next = (next + 1) % (POOL_PAGES + 1);
+            if pool.fetch(next).is_none() {
+                pool.install(next, Frame::Raw(Arc::clone(&page)));
+            }
+            std::hint::black_box(pool.evictions())
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_distances,
     bench_fused_quantized,
     bench_summarizations,
-    bench_quantization
+    bench_quantization,
+    bench_buffer_pool
 );
 criterion_main!(benches);

@@ -14,8 +14,16 @@
 //! given access pattern and capacity is identical whether frames are
 //! cached or not, which is what lets a file-backed store reproduce the
 //! simulated store's I/O accounting exactly.
+//!
+//! Every operation is O(1) apart from the victim search, which walks past
+//! pinned pages only. Resident pages live in a slot vector threaded into
+//! an intrusive doubly linked recency list (most recently used at the
+//! head), a page→slot map with a multiplicative integer hasher finds a
+//! page's slot, and slots freed by eviction or invalidation are reused
+//! through a free list, so the slot vector never grows past the capacity.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::coded::CodedPage;
@@ -59,11 +67,45 @@ impl Frame {
     }
 }
 
-/// One resident page: its recency timestamp and, for file-backed stores,
-/// the cached frame contents.
+/// Hashes a page id with one fold and one multiply. Page ids are plain
+/// integers chosen by the store, not by an adversary, so SipHash's
+/// flooding resistance buys nothing on this per-access path; the final
+/// fold spreads the product's high bits into the low bits the table
+/// indexes with, so strided ids do not pile into one bucket.
+#[derive(Debug, Default, Clone, Copy)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id;
+    }
+
+    fn finish(&self) -> u64 {
+        let h = (self.0 ^ (self.0 >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 32)
+    }
+}
+
+type PageMap<V> = HashMap<u64, V, BuildHasherDefault<PageHasher>>;
+
+/// End-of-list marker for the recency links.
+const NIL: usize = usize::MAX;
+
+/// One resident page: its place in the recency list and, for file-backed
+/// stores, the cached frame contents.
 #[derive(Debug)]
 struct Slot {
-    ts: u64,
+    page: u64,
+    /// The next more recently used slot (`NIL` at the head).
+    newer: usize,
+    /// The next less recently used slot (`NIL` at the tail).
+    older: usize,
     frame: Option<Frame>,
 }
 
@@ -73,20 +115,25 @@ struct Slot {
 /// knows its working set up front pins those pages so that its own
 /// scattered accesses cannot evict them mid-batch. Pinning never changes
 /// the hit/miss accounting of an access — it only constrains the *victim
-/// choice*: eviction takes the least recently used unpinned page, and if
-/// every resident page is pinned the pool degrades to read-through (the
-/// new page is served but not cached). Pins are reference-counted so
-/// concurrent batches compose.
+/// choice*: eviction takes the least recently used unpinned page (walking
+/// the recency list from its tail), and if every resident page is pinned
+/// the pool degrades to read-through (the new page is served but not
+/// cached). Pins are reference-counted so concurrent batches compose.
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
-    /// page -> slot (timestamp + optional cached frame)
-    pages: HashMap<u64, Slot>,
-    /// last-use timestamp -> page (for O(log n) eviction)
-    lru: BTreeMap<u64, u64>,
+    /// Slot storage; `slots.len() <= capacity`. Slots on `free` are unused.
+    slots: Vec<Slot>,
+    /// Indices of unused slots, reused before `slots` grows.
+    free: Vec<usize>,
+    /// page -> index of its slot
+    index: PageMap<usize>,
+    /// Most recently used slot (`NIL` when empty).
+    head: usize,
+    /// Least recently used slot (`NIL` when empty).
+    tail: usize,
     /// page -> pin count (pages a running batch declared as working set)
-    pins: HashMap<u64, u32>,
-    clock: u64,
+    pins: PageMap<u32>,
     evictions: u64,
     /// Total `f32` values held by cached frames (0 in id-only mode).
     resident_values: usize,
@@ -98,10 +145,12 @@ impl BufferPool {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            pages: HashMap::new(),
-            lru: BTreeMap::new(),
-            pins: HashMap::new(),
-            clock: 0,
+            slots: Vec::new(),
+            free: Vec::new(),
+            index: PageMap::default(),
+            head: NIL,
+            tail: NIL,
+            pins: PageMap::default(),
             evictions: 0,
             resident_values: 0,
         }
@@ -114,12 +163,12 @@ impl BufferPool {
 
     /// Number of resident pages.
     pub fn len(&self) -> usize {
-        self.pages.len()
+        self.index.len()
     }
 
     /// Whether the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
+        self.index.is_empty()
     }
 
     /// Pages evicted since creation (or the last [`BufferPool::clear`]).
@@ -133,75 +182,105 @@ impl BufferPool {
         self.resident_values
     }
 
-    /// Marks `page` as most recently used. Returns `true` if it was
-    /// resident.
-    fn touch(&mut self, page: u64) -> bool {
-        self.clock += 1;
-        if let Some(slot) = self.pages.get_mut(&page) {
-            self.lru.remove(&slot.ts);
-            slot.ts = self.clock;
-            self.lru.insert(self.clock, page);
-            true
-        } else {
-            false
+    /// Detaches slot `i` from the recency list.
+    fn unlink(&mut self, i: usize) {
+        let (newer, older) = (self.slots[i].newer, self.slots[i].older);
+        match newer {
+            NIL => self.head = older,
+            n => self.slots[n].older = older,
         }
+        match older {
+            NIL => self.tail = newer,
+            o => self.slots[o].newer = newer,
+        }
+    }
+
+    /// Links detached slot `i` in as the most recently used.
+    fn push_head(&mut self, i: usize) {
+        self.slots[i].newer = NIL;
+        self.slots[i].older = self.head;
+        match self.head {
+            NIL => self.tail = i,
+            h => self.slots[h].newer = i,
+        }
+        self.head = i;
+    }
+
+    /// Marks `page` as most recently used. Returns its slot if it was
+    /// resident.
+    fn touch(&mut self, page: u64) -> Option<usize> {
+        let i = *self.index.get(&page)?;
+        if self.head != i {
+            self.unlink(i);
+            self.push_head(i);
+        }
+        Some(i)
+    }
+
+    /// Drops resident slot `i`: unlinks it, forgets its page, releases its
+    /// frame and puts the slot on the free list.
+    fn release(&mut self, i: usize) {
+        self.unlink(i);
+        let slot = &mut self.slots[i];
+        self.index.remove(&slot.page);
+        if let Some(frame) = slot.frame.take() {
+            self.resident_values -= frame.values();
+        }
+        self.free.push(i);
     }
 
     /// Makes a slot available, evicting the least recently used *unpinned*
     /// page if the pool is full. Returns `false` when no slot could be
-    /// freed because every resident page is pinned — the caller then skips
-    /// caching (read-through).
+    /// freed because every resident page is pinned (or the capacity is
+    /// zero) — the caller then skips caching (read-through).
     fn make_room(&mut self) -> bool {
-        if self.pages.len() < self.capacity {
+        if self.index.len() < self.capacity {
             return true;
         }
-        let victim = self
-            .lru
-            .iter()
-            .find(|(_, page)| !self.pins.contains_key(page))
-            .map(|(&ts, &page)| (ts, page));
-        let Some((oldest_ts, victim)) = victim else {
-            return false;
-        };
-        self.lru.remove(&oldest_ts);
-        if let Some(slot) = self.pages.remove(&victim) {
-            if let Some(frame) = slot.frame {
-                self.resident_values -= frame.values();
-            }
+        let mut victim = self.tail;
+        while victim != NIL && self.pins.contains_key(&self.slots[victim].page) {
+            victim = self.slots[victim].newer;
         }
+        if victim == NIL {
+            return false;
+        }
+        self.release(victim);
         self.evictions += 1;
         true
     }
 
     fn insert_slot(&mut self, page: u64, frame: Option<Frame>) {
-        if self.capacity == 0 {
-            return;
-        }
-        // A fresh timestamp of its own: an install is not required to be
-        // paired with a fetch, so it must never reuse the clock value of an
-        // earlier touch (two LRU entries would collide).
-        self.clock += 1;
         if !self.make_room() {
             return;
         }
         if let Some(frame) = &frame {
             self.resident_values += frame.values();
         }
-        self.pages.insert(
+        let slot = Slot {
             page,
-            Slot {
-                ts: self.clock,
-                frame,
-            },
-        );
-        self.lru.insert(self.clock, page);
+            newer: NIL,
+            older: NIL,
+            frame,
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i] = slot;
+                i
+            }
+            None => {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+        };
+        self.index.insert(page, i);
+        self.push_head(i);
     }
 
     /// Records an id-only access to `page` (resident/simulated stores).
     /// Returns `true` if the page was already resident (hit), `false` if it
     /// had to be "read from disk" (miss, now cached).
     pub fn access(&mut self, page: u64) -> bool {
-        if self.touch(page) {
+        if self.touch(page).is_some() {
             return true;
         }
         self.insert_slot(page, None);
@@ -213,11 +292,8 @@ impl BufferPool {
     /// returns `None` — the caller reads the page from disk and
     /// [`BufferPool::install`]s it.
     pub fn fetch(&mut self, page: u64) -> Option<Frame> {
-        if self.touch(page) {
-            self.pages.get(&page).and_then(|slot| slot.frame.clone())
-        } else {
-            None
-        }
+        let i = self.touch(page)?;
+        self.slots[i].frame.clone()
     }
 
     /// Caches the frame a [`BufferPool::fetch`] miss loaded from disk,
@@ -225,7 +301,7 @@ impl BufferPool {
     /// zero-capacity pool caches nothing.
     pub fn install(&mut self, page: u64, frame: Frame) {
         debug_assert!(
-            !self.pages.contains_key(&page),
+            !self.index.contains_key(&page),
             "install after a fetch hit would duplicate page {page}"
         );
         self.insert_slot(page, Some(frame));
@@ -233,7 +309,7 @@ impl BufferPool {
 
     /// Whether `page` is currently resident (without touching recency).
     pub fn contains(&self, page: u64) -> bool {
-        self.pages.contains_key(&page)
+        self.index.contains_key(&page)
     }
 
     /// Pins `page`: while pinned it is never chosen as an eviction victim.
@@ -272,11 +348,8 @@ impl BufferPool {
     /// reflects the store, e.g. because an append extended the page), not a
     /// capacity decision. The next access misses and reloads fresh bytes.
     pub fn remove(&mut self, page: u64) {
-        if let Some(slot) = self.pages.remove(&page) {
-            self.lru.remove(&slot.ts);
-            if let Some(frame) = slot.frame {
-                self.resident_values -= frame.values();
-            }
+        if let Some(i) = self.index.get(&page).copied() {
+            self.release(i);
         }
     }
 
@@ -285,8 +358,11 @@ impl BufferPool {
     /// steps). Pins are left in place: they belong to an in-flight batch,
     /// not to the cache contents.
     pub fn clear(&mut self) {
-        self.pages.clear();
-        self.lru.clear();
+        self.slots.clear();
+        self.free.clear();
+        self.index.clear();
+        self.head = NIL;
+        self.tail = NIL;
         self.evictions = 0;
         self.resident_values = 0;
     }
@@ -662,6 +738,104 @@ mod tests {
                 }
                 prop_assert_eq!(id_only.evictions(), framed.evictions());
                 prop_assert_eq!(id_only.len(), framed.len());
+            }
+        }
+    }
+
+    /// Sparse page ids: widely strided, and packed against `u64::MAX`,
+    /// so the page map sees ids nothing like a dense `0..n` range.
+    const SPARSE_PAGES: [u64; 8] = [
+        0,
+        1_000_003,
+        2 * 1_000_003,
+        7 * 1_000_003,
+        u64::MAX,
+        u64::MAX - 1,
+        u64::MAX - 1_000_003,
+        1 << 63,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The model replay over sparse page ids, driving the frame entry
+        /// points with real frames: `fetch` (then `install` on a miss),
+        /// pins, unpins, invalidations and clears. After every op the pool
+        /// matches the model's residency and evictions, a hit returns the
+        /// frame last installed for that page, `resident_values()` equals
+        /// the sum over resident frames, and freed slots are reused
+        /// rather than the slot vector growing past the capacity.
+        #[test]
+        fn sparse_ids_with_real_frames_match_the_model(
+            ops in collection::vec(0usize..104, 1..256),
+            cap in 0usize..6,
+        ) {
+            let mut pool = BufferPool::new(cap);
+            let mut model = ModelPool::new(cap);
+            // page -> (serial, len) of the frame last installed for it.
+            let mut installed: HashMap<u64, (u32, usize)> = HashMap::new();
+            let mut serial = 0u32;
+            for op in ops {
+                let page = SPARSE_PAGES[op % 8];
+                match op / 8 {
+                    0..=7 => {
+                        let model_hit = model.access(page);
+                        match pool.fetch(page) {
+                            Some(frame) => {
+                                prop_assert!(model_hit, "page {} hit, model missed", page);
+                                let raw = frame.as_raw().unwrap();
+                                let (want_serial, want_len) = installed[&page];
+                                prop_assert_eq!(raw.len(), want_len);
+                                prop_assert!(raw.iter().all(|&v| v == want_serial as f32));
+                            }
+                            None => {
+                                prop_assert!(!model_hit, "page {} missed, model hit", page);
+                                serial += 1;
+                                let len = 1 + (serial as usize * 7) % 13;
+                                pool.install(page, frame(&vec![serial as f32; len]));
+                                installed.insert(page, (serial, len));
+                            }
+                        }
+                    }
+                    8 | 9 => {
+                        pool.pin(page);
+                        model.pins.push(page);
+                    }
+                    10 => {
+                        if let Some(pos) = model.pins.iter().position(|&p| p == page) {
+                            pool.unpin(page);
+                            model.pins.swap_remove(pos);
+                        }
+                    }
+                    11 => {
+                        pool.remove(page);
+                        model.recency.retain(|&p| p != page);
+                    }
+                    _ => {
+                        pool.clear();
+                        model.recency.clear();
+                        model.evictions = 0;
+                    }
+                }
+                for probe in SPARSE_PAGES {
+                    prop_assert_eq!(
+                        pool.contains(probe),
+                        model.recency.contains(&probe),
+                        "page {} residency drifted from the model", probe
+                    );
+                    prop_assert_eq!(pool.is_pinned(probe), model.pins.contains(&probe));
+                }
+                prop_assert_eq!(pool.evictions(), model.evictions);
+                let expected_values: usize =
+                    model.recency.iter().map(|p| installed[p].1).sum();
+                prop_assert_eq!(pool.resident_values(), expected_values);
+                prop_assert_eq!(pool.len(), model.recency.len());
+                prop_assert!(pool.len() <= cap);
+                prop_assert!(
+                    pool.slots.len() <= cap,
+                    "slot vector grew to {} past capacity {}", pool.slots.len(), cap
+                );
+                prop_assert_eq!(pool.slots.len(), pool.len() + pool.free.len());
             }
         }
     }

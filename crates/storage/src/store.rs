@@ -159,6 +159,28 @@ struct AccessState {
     pool: BufferPool,
     last_page: Option<u64>,
     totals: IoSnapshot,
+    /// The store's one transfer buffer: every pool miss of a file-backed
+    /// store reads its page bytes here (the pool lock is held across the
+    /// read) and decodes them straight into the frame it installs. It
+    /// grows to the largest page read and is never zero-filled again.
+    transfer: Vec<u8>,
+}
+
+/// Sizes `buf` to exactly `len` bytes for the next read to overwrite.
+/// Only growth is zero-filled; a shorter read (a tail page) sees a
+/// prefix, so no byte of an earlier, longer read can survive into it.
+fn transfer_slice(buf: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    if buf.len() < len {
+        buf.resize(len, 0);
+    }
+    &mut buf[..len]
+}
+
+/// Decodes little-endian f32 bit patterns.
+fn decode_f32s(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap())))
 }
 
 impl AccessState {
@@ -457,6 +479,7 @@ impl SeriesStore {
                 pool: BufferPool::new(config.buffer_pool_pages),
                 last_page: None,
                 totals: IoSnapshot::default(),
+                transfer: Vec::new(),
             }),
         })
     }
@@ -637,38 +660,37 @@ impl SeriesStore {
 
     /// Reads the whole frame of `page`: file bytes for records inside the
     /// immutable span, resident tail values for records appended after the
-    /// store was attached (a frame freely straddles the boundary).
+    /// store was attached (a frame freely straddles the boundary). The file
+    /// bytes pass through `buf`, and the frame is built in one exact-size
+    /// allocation.
     ///
     /// # Panics
     /// Panics if the read fails: the span was validated when the store was
     /// attached, so a failure here is a genuine I/O fault (or the file was
     /// mutated behind the store's back), not a recoverable query error.
-    fn load_frame(&self, fb: &FileBacked, page: u64) -> Arc<[f32]> {
+    fn load_frame(&self, fb: &FileBacked, page: u64, buf: &mut Vec<u8>) -> Arc<[f32]> {
         let spp = self.series_per_page();
         let first = page * spp;
         let total = (fb.span.records + fb.tail.len() / self.series_len) as u64;
         let count = spp.min(total - first) as usize;
         let from_file = (fb.span.records as u64).saturating_sub(first).min(count as u64) as usize;
-        let mut values: Vec<f32> = Vec::with_capacity(count * self.series_len);
+        let bytes = transfer_slice(buf, from_file * self.series_bytes() as usize);
         if from_file > 0 {
-            let bytes = from_file * self.series_bytes() as usize;
-            let mut buf = vec![0u8; bytes];
             fb.read_payload(
-                &mut buf,
+                bytes,
                 fb.span.offset + first * self.series_bytes(),
                 &format_args!("page {page}"),
             );
-            values.extend(
-                buf.chunks_exact(4)
-                    .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap()))),
-            );
         }
-        if from_file < count {
-            let lo = (first as usize + from_file - fb.span.records) * self.series_len;
-            let hi = (first as usize + count - fb.span.records) * self.series_len;
-            values.extend_from_slice(&fb.tail[lo..hi]);
+        if from_file == count {
+            return decode_f32s(bytes).collect();
         }
-        Arc::from(values)
+        // Only a frame reaching into the appended tail gets here; the
+        // chained iterator is several times slower to collect than the
+        // plain decode above, so it stays off the common path.
+        let lo = (first as usize + from_file - fb.span.records) * self.series_len;
+        let hi = (first as usize + count - fb.span.records) * self.series_len;
+        decode_f32s(bytes).chain(fb.tail[lo..hi].iter().copied()).collect()
     }
 
     /// Returns the (cached or freshly read) frame of `page`, charging the
@@ -676,7 +698,8 @@ impl SeriesStore {
     /// readers of one page pay a single disk read — and the hit/miss
     /// sequence stays identical to the resident simulation.
     fn fetch_frame(&self, fb: &FileBacked, page: u64, stats: &mut QueryStats) -> Arc<[f32]> {
-        let mut state = self.state.lock();
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
         if let Some(frame) = state.pool.fetch(page) {
             if let Some(raw) = frame.as_raw() {
                 state.charge(page, true, 0, stats);
@@ -688,7 +711,7 @@ impl SeriesStore {
             // served from codes, so invalidate and fault the raw bytes in.
             state.pool.remove(page);
         }
-        let frame = self.load_frame(fb, page);
+        let frame = self.load_frame(fb, page, &mut state.transfer);
         state.charge(page, false, (frame.len() * std::mem::size_of::<f32>()) as u64, stats);
         state.pool.install(page, Frame::Raw(Arc::clone(&frame)));
         frame
@@ -792,10 +815,7 @@ impl SeriesStore {
                         fb.span.offset + record as u64 * self.series_bytes(),
                         &format_args!("record {record}"),
                     );
-                    out.extend(
-                        buf.chunks_exact(4)
-                            .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap()))),
-                    );
+                    out.extend(decode_f32s(&buf));
                 } else {
                     let start = (record - fb.span.records) * self.series_len;
                     out.extend_from_slice(&fb.tail[start..start + self.series_len]);
@@ -819,8 +839,9 @@ impl SeriesStore {
                 let spp = self.series_per_page() as usize;
                 let len = self.len();
                 let mut record = 0usize;
+                let mut buf = Vec::new();
                 for page in 0..self.len().div_ceil(spp) {
-                    let frame = self.load_frame(fb, page as u64);
+                    let frame = self.load_frame(fb, page as u64, &mut buf);
                     for series in frame.chunks_exact(self.series_len) {
                         visit(record, series);
                         record += 1;
@@ -985,7 +1006,8 @@ impl SeriesStore {
                 frame
             }
             CodedTier::File { file, path, sealed } => {
-                let mut state = self.state.lock();
+                let mut guard = self.state.lock();
+                let state = &mut *guard;
                 if let Some(frame) = state.pool.fetch(page) {
                     if let Some(coded) = frame.as_coded() {
                         state.charge(page, true, 0, stats);
@@ -1001,8 +1023,8 @@ impl SeriesStore {
                 let count = spp.min(*sealed as u64 - first) as usize;
                 let stride = page_disk_bytes(spp as usize, self.series_len, self.config.codec);
                 let bytes = page_disk_bytes(count, self.series_len, self.config.codec);
-                let mut buf = vec![0u8; bytes as usize];
-                file.read_exact_at(&mut buf, CODED_HEADER_BYTES + page * stride)
+                let buf = transfer_slice(&mut state.transfer, bytes as usize);
+                file.read_exact_at(buf, CODED_HEADER_BYTES + page * stride)
                     .unwrap_or_else(|e| {
                         panic!(
                             "coded series store: reading page {page} of {} failed: {e}",
@@ -1010,7 +1032,7 @@ impl SeriesStore {
                         )
                     });
                 let frame = Arc::new(
-                    CodedPage::from_disk_bytes(&buf, count, self.series_len, self.config.codec)
+                    CodedPage::from_disk_bytes(buf, count, self.series_len, self.config.codec)
                         .unwrap_or_else(|e| {
                             panic!("coded page {page} of {} is corrupt: {e}", path.display())
                         }),
@@ -2054,6 +2076,88 @@ mod tests {
             std::fs::remove_file(&flat).ok();
             std::fs::remove_file(&sidecar).ok();
         }
+    }
+
+    #[test]
+    fn reused_transfer_buffer_never_leaks_into_a_short_tail_page() {
+        // 4 series of length 16 per 256-byte page: 10 records leave a
+        // 2-record tail page. A one-page pool makes every page change a
+        // miss through the store's one transfer buffer, so the short tail
+        // read lands in a buffer a full page read left filled.
+        let d = varied_dataset(10, 16);
+        let dir = std::env::temp_dir();
+        let flat = dir.join(format!("hydra-storage-tailreuse-{}.flat", std::process::id()));
+        let mut bytes = Vec::new();
+        for &v in d.as_flat() {
+            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        std::fs::write(&flat, &bytes).unwrap();
+        for codec in [PageCodec::F32, PageCodec::U8] {
+            for io in [FileIoMode::Pread, FileIoMode::Mmap] {
+                let config = StorageConfig {
+                    buffer_pool_pages: 1,
+                    io,
+                    ..tiered_config(codec)
+                };
+                let mut resident = SeriesStore::from_dataset(&d, config).unwrap();
+                resident.seal_coded();
+                let mut file = SeriesStore::file_backed(
+                    &flat,
+                    FileSpan { offset: 0, records: 10 },
+                    16,
+                    config,
+                )
+                .unwrap();
+                let sidecar = dir.join(format!(
+                    "hydra-storage-tailreuse-{}-{}-{}.coded",
+                    std::process::id(),
+                    codec.name(),
+                    io.name()
+                ));
+                if codec != PageCodec::F32 {
+                    write_coded_sidecar(&d, &config, &sidecar);
+                    file.attach_coded_file(&sidecar).unwrap();
+                }
+                let fb = match &file.backing {
+                    Backing::File(fb) => fb,
+                    Backing::Resident(_) => unreachable!(),
+                };
+                // Full page, short tail page, full page again.
+                let mut stats = QueryStats::new();
+                for page in [0u64, 2, 1] {
+                    let records = page as usize * 4..((page as usize + 1) * 4).min(10);
+                    let want: Vec<u32> = d.as_flat()[records.start * 16..records.end * 16]
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect();
+                    let frame = file.fetch_frame(fb, page, &mut stats);
+                    let got: Vec<u32> = frame.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "{} {}: raw page {page}", codec.name(), io.name());
+                    for record in records {
+                        let got: Vec<u32> =
+                            file.read(record, &mut stats).iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(
+                            got,
+                            want[(record - page as usize * 4) * 16..][..16],
+                            "{} {}: record {record}",
+                            codec.name(),
+                            io.name()
+                        );
+                    }
+                    if codec != PageCodec::F32 {
+                        let got = file.fetch_coded_page(page, &mut stats);
+                        let want = resident.fetch_coded_page(page, &mut QueryStats::new());
+                        assert_eq!(got, want, "{} {}: coded page {page}", codec.name(), io.name());
+                    }
+                }
+                // Each page change missed: 3 raw frame loads, plus 3 coded
+                // loads that replaced them under the u8 codec.
+                let loads = if codec == PageCodec::F32 { 3 } else { 6 };
+                assert_eq!(file.io_snapshot().pool_misses, loads);
+                std::fs::remove_file(&sidecar).ok();
+            }
+        }
+        std::fs::remove_file(&flat).ok();
     }
 
     #[test]
